@@ -6,150 +6,108 @@ type 'a t = {
   of_exponents : int array -> 'a;
 }
 
-(* Elementary Abelian p-groups (every non-identity element of order p)
-   are vector spaces: a greedy linear-independence sweep finds a basis
-   in O(|P|) closure steps, far cheaper than the general complement
-   construction below. *)
-let decompose_elementary (g : 'a Group.t) elems p =
-  let span : (string, 'a) Hashtbl.t = Hashtbl.create (List.length elems) in
-  Hashtbl.replace span (g.Group.repr g.Group.id) g.Group.id;
-  let basis = ref [] in
-  List.iter
-    (fun x ->
-      if not (Hashtbl.mem span (g.Group.repr x)) then begin
-        basis := x :: !basis;
-        (* new span = old span * <x>: multiply every member by x^j *)
-        let members = Hashtbl.fold (fun _ e acc -> e :: acc) span [] in
-        List.iter
-          (fun s ->
-            let acc = ref s in
-            for _ = 1 to p - 1 do
-              acc := g.Group.mul !acc x;
-              Hashtbl.replace span (g.Group.repr !acc) !acc
-            done)
-          members
-      end)
-    elems;
-  List.map (fun b -> (b, p)) (List.rev !basis)
+let of_exponents_in (g : 'a Group.t) basis e =
+  let acc = ref g.Group.id in
+  Array.iteri (fun i ei -> acc := g.Group.mul !acc (Group.pow g basis.(i) ei)) e;
+  !acc
 
-(* Decompose an Abelian p-group given by its element list: repeatedly
-   split off an element of maximal order against a maximal complement
-   (constructive basis theorem). *)
-let rec decompose_p_group (g : 'a Group.t) (elems : 'a list) : ('a * int) list =
-  if List.length elems <= 1 then []
-  else begin
-    let with_orders = List.map (fun x -> (x, Group.element_order g x)) elems in
-    let max_order = List.fold_left (fun acc (_, o) -> max acc o) 1 with_orders in
-    if Numtheory.Primes.is_prime max_order then
-      (* elementary Abelian: vector-space fast path *)
-      decompose_elementary g (List.filter (fun x -> not (g.Group.equal x g.Group.id)) elems)
-        max_order
-    else begin
-    let a, ord_a =
-      List.fold_left
-        (fun (ba, bo) (x, o) -> if o > bo then (x, o) else (ba, bo))
-        (g.Group.id, 1) with_orders
+(* Basis of the Abelian group [g], grown one cyclic factor at a time
+   from the p-parts of its generators (constructive basis theorem).
+   [span] maps each element of S = <basis> to itself and its exponents
+   over the basis as it stood when the element joined (later
+   coordinates are 0); it is the lifting oracle while S grows and, once
+   S = G, the [to_exponents] table, so G is enumerated exactly once. *)
+let decompose_gens (g : 'a Group.t) =
+  let span = Hashtbl.create 64 in
+  Hashtbl.replace span (g.Group.repr g.Group.id) (g.Group.id, [||]);
+  let basis = ref [||] and dims = ref [||] in
+  (* S := S x <x>, for x of order q with <x> meeting S trivially. *)
+  let extend x q =
+    let t = Array.length !basis in
+    if Hashtbl.length span * q > Group.max_enumeration then
+      invalid_arg "Abelian.decompose: group exceeds Group.max_enumeration";
+    List.iter
+      (fun (s, e) ->
+        let acc = ref s in
+        for i = 1 to q - 1 do
+          acc := g.Group.mul !acc x;
+          let e' = Array.make (t + 1) 0 in
+          Array.blit e 0 e' 0 (Array.length e);
+          e'.(t) <- i;
+          Hashtbl.replace span (g.Group.repr !acc) (!acc, e')
+        done)
+      (Hashtbl.fold (fun _ v acc -> v :: acc) span []);
+    basis := Array.append !basis [| x |];
+    dims := Array.append !dims [| q |];
+    if Hashtbl.length span <> Array.fold_left ( * ) 1 !dims then
+      invalid_arg "Abelian.decompose: internal: basis is not independent"
+  in
+  (* Order p^k of [c] modulo S, with the exponents of c^(p^k) in S. *)
+  let order_mod_span p c =
+    let rec go q y =
+      match Hashtbl.find_opt span (g.Group.repr y) with
+      | Some (_, e) -> (q, e)
+      | None -> go (q * p) (Group.pow g y p)
     in
-    (* nontrivial powers of a, for intersection tests *)
-    let powers_of_a =
-      let tbl = Hashtbl.create 16 in
-      let acc = ref a in
-      while not (g.Group.equal !acc g.Group.id) do
-        Hashtbl.replace tbl (g.Group.repr !acc) ();
-        acc := g.Group.mul !acc a
-      done;
-      tbl
+    go 1 c
+  in
+  (* In an Abelian p-group some candidate x reaches the largest order
+     q = p^k modulo S, which forces every exponent m_j of x^q to be
+     divisible by q; x * prod b_j^(-m_j/q) then has order q and meets S
+     trivially. *)
+  let rec grow p cands =
+    let live =
+      List.filter_map
+        (fun c ->
+          let q, e = order_mod_span p c in
+          if q > 1 then Some (c, q, e) else None)
+        cands
     in
-    let meets_a_nontrivially subgroup_elems =
-      List.exists (fun x -> Hashtbl.mem powers_of_a (g.Group.repr x)) subgroup_elems
-    in
-    (* Greedy maximal complement: sweep until no element can be added.
-       Track a small generator list so each candidate closure is a BFS
-       over few steps rather than the whole current subgroup. *)
-    let b_gens = ref [] in
-    let b_elems = ref [ g.Group.id ] in
-    let b_table = Hashtbl.create 64 in
-    Hashtbl.replace b_table (g.Group.repr g.Group.id) ();
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun x ->
-          if not (Hashtbl.mem b_table (g.Group.repr x)) then begin
-            let candidate = Group.closure g (x :: !b_gens) in
-            if not (meets_a_nontrivially candidate) then begin
-              b_gens := x :: !b_gens;
-              b_elems := candidate;
-              changed := true;
-              List.iter (fun y -> Hashtbl.replace b_table (g.Group.repr y) ()) candidate
-            end
-          end)
-        elems
-    done;
-    (a, ord_a) :: decompose_p_group g !b_elems
-    end
-  end
-
-let decompose_elems (g : 'a Group.t) (elems : 'a list) =
-  let n = List.length elems in
-  (* primary components *)
-  let primes = if n = 1 then [] else Numtheory.Primes.prime_divisors n in
-  let basis_with_orders =
-    List.concat_map
-      (fun p ->
-        let component =
-          List.filter
-            (fun x ->
-              let o = Group.element_order g x in
-              let rec p_power o = o = 1 || (o mod p = 0 && p_power (o / p)) in
-              p_power o)
-            elems
+    match live with
+    | [] -> ()
+    | first :: _ ->
+        let x, q, m =
+          List.fold_left (fun ((_, bq, _) as b) ((_, q, _) as c) -> if q > bq then c else b) first live
         in
-        decompose_p_group g component)
-      primes
+        let w =
+          Array.map
+            (fun mj ->
+              if mj mod q <> 0 then invalid_arg "Abelian.decompose: internal: lift failed";
+              -(mj / q))
+            m
+        in
+        extend (g.Group.mul x (of_exponents_in g !basis w)) q;
+        grow p (List.map (fun (c, _, _) -> c) live)
   in
-  let basis = Array.of_list (List.map fst basis_with_orders) in
-  let dims = Array.of_list (List.map snd basis_with_orders) in
-  (* exponent-tuple table: |G| entries *)
+  let parts =
+    List.concat_map
+      (fun x ->
+        let n = Group.element_order g x in
+        List.map
+          (fun (p, a) -> (p, Group.pow g x (n / Numtheory.Arith.pow p a)))
+          (Numtheory.Primes.factorize n))
+      g.Group.generators
+  in
+  List.iter
+    (fun p -> grow p (List.filter_map (fun (p', c) -> if p' = p then Some c else None) parts))
+    (List.sort_uniq Int.compare (List.map fst parts));
+  let basis = !basis and dims = !dims in
   let r = Array.length dims in
-  let of_exponents e =
-    let acc = ref g.Group.id in
-    Array.iteri (fun i ei -> acc := g.Group.mul !acc (Group.pow g basis.(i) ei)) e;
-    !acc
-  in
-  let table = Hashtbl.create n in
-  let total = Array.fold_left ( * ) 1 dims in
-  if total <> n then invalid_arg "Abelian.decompose: internal: basis does not span";
-  let rec fill i e =
-    if i = r then Hashtbl.replace table (g.Group.repr (of_exponents e)) (Array.copy e)
-    else
-      for v = 0 to dims.(i) - 1 do
-        e.(i) <- v;
-        fill (i + 1) e
-      done
-  in
-  fill 0 (Array.make r 0);
   let to_exponents x =
-    match Hashtbl.find_opt table (g.Group.repr x) with
-    | Some e -> Array.copy e
+    match Hashtbl.find_opt span (g.Group.repr x) with
+    | Some (_, e) -> Array.init r (fun i -> if i < Array.length e then e.(i) else 0)
     | None -> invalid_arg "Abelian.to_exponents: element not in group"
   in
-  { group = g; basis; dims; to_exponents; of_exponents }
+  { group = g; basis; dims; to_exponents; of_exponents = of_exponents_in g basis }
 
 let decompose g =
   if not (Group.is_abelian g) then invalid_arg "Abelian.decompose: not Abelian";
-  decompose_elems g (Group.elements g)
+  decompose_gens g
 
 let decompose_subgroup g gens =
-  let elems = Group.closure g gens in
   let sub = Group.subgroup g gens in
-  (* commutativity check on the subgroup generators *)
-  if
-    not
-      (List.for_all
-         (fun x -> List.for_all (fun y -> g.Group.equal (g.Group.mul x y) (g.Group.mul y x)) gens)
-         gens)
-  then invalid_arg "Abelian.decompose_subgroup: generators do not commute";
-  decompose_elems sub elems
+  if not (Group.is_abelian sub) then
+    invalid_arg "Abelian.decompose_subgroup: generators do not commute";
+  decompose_gens sub
 
 let order t = Array.fold_left ( * ) 1 t.dims

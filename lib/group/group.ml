@@ -54,8 +54,12 @@ let elements g = fst (closure_with_table g g.generators)
 let order g = List.length (elements g)
 
 let element_order g x =
-  let rec go k acc = if g.equal acc g.id then k else go (k + 1) (g.mul acc x) in
-  if g.equal x g.id then 1 else go 1 x
+  let rec go k acc =
+    if g.equal acc g.id then k
+    else if k >= max_enumeration then invalid_arg "Group: element order exceeds max_enumeration"
+    else go (k + 1) (g.mul acc x)
+  in
+  go 1 x
 
 let closure g xs = fst (closure_with_table g xs)
 let closure_set g xs = snd (closure_with_table g xs)

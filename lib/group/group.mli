@@ -54,7 +54,8 @@ val elements : 'a t -> 'a list
 val order : 'a t -> int
 
 val element_order : 'a t -> 'a -> int
-(** Order of a single element (successive powers). *)
+(** Order of a single element (successive powers).
+    @raise Invalid_argument if it exceeds {!max_enumeration}. *)
 
 val closure : 'a t -> 'a list -> 'a list
 (** Subgroup generated by the given elements (BFS; same guard as

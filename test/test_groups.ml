@@ -522,6 +522,82 @@ let test_abelian_decompose_nonabelian_rejected () =
   Alcotest.check_raises "nonabelian" (Invalid_argument "Abelian.decompose: not Abelian")
     (fun () -> ignore (Abelian.decompose (Dihedral.group 5)))
 
+(* [to_exponents] is a bijection onto the exponent box, inverted by
+   [of_exponents], and additive: checking x * s against every element x
+   and generator s covers the homomorphism property on all of [<gens>]. *)
+let check_decomposition g gens dec =
+  let elems = Group.closure g gens in
+  checki "order" (List.length elems) (Abelian.order dec);
+  let dims = dec.Abelian.dims and te = dec.Abelian.to_exponents in
+  let gen_exps = List.map (fun s -> (s, te s)) gens in
+  List.iter
+    (fun x ->
+      let e = te x in
+      if not (Array.for_all2 (fun v d -> 0 <= v && v < d) e dims) then Alcotest.fail "out of box";
+      if not (g.Group.equal x (dec.Abelian.of_exponents e)) then Alcotest.fail "roundtrip";
+      List.iter
+        (fun (s, es) ->
+          if te (g.Group.mul x s) <> Array.mapi (fun i v -> (v + es.(i)) mod dims.(i)) e then
+            Alcotest.fail "not additive")
+        gen_exps)
+    elems
+
+let primary_parts dims =
+  List.concat_map
+    (fun d -> List.map (fun (p, a) -> Numtheory.Arith.pow p a) (Numtheory.Primes.factorize d))
+    (Array.to_list dims)
+
+let test_abelian_decompose_encodings () =
+  let case name g gens dims outside =
+    let dec = Abelian.decompose_subgroup g gens in
+    Alcotest.(check (list int)) (name ^ " dims") dims (Array.to_list dec.Abelian.dims);
+    check_decomposition g gens dec;
+    Alcotest.check_raises (name ^ " outside")
+      (Invalid_argument "Abelian.to_exponents: element not in group") (fun () ->
+        ignore (dec.Abelian.to_exponents outside))
+  in
+  case "wreath base" (Wreath.group 4) (Wreath.base_gens 4) (List.init 8 (fun _ -> 2))
+    (Wreath.swap_elt 4);
+  case "semidirect base"
+    (Semidirect.group ~action:(Semidirect.cyclic_action 6) ~m:6)
+    (Semidirect.base_gens ~n:6) (List.init 6 (fun _ -> 2)) (Semidirect.top_gen ~n:6);
+  let h = Extraspecial.group ~p:5 ~m:2 in
+  case "extraspecial centre" h [ Extraspecial.center_gen ~p:5 ~m:2 ] [ 5 ]
+    (List.hd h.Group.generators);
+  let t a b = Perm.of_cycles 6 [ [ a; b ] ] in
+  case "transpositions in S_6" (Perm.symmetric 6) [ t 0 1; t 2 3; t 4 5 ] [ 2; 2; 2 ]
+    (Perm.of_cycles 6 [ [ 0; 1; 2 ] ])
+
+let test_abelian_decompose_guard () =
+  let too_large what g =
+    match Abelian.decompose g with
+    | _ -> Alcotest.failf "%s: no Invalid_argument past Group.max_enumeration" what
+    | exception Invalid_argument _ -> ()
+  in
+  (* 2^21 elements: the span outgrows the guard at the second factor *)
+  too_large "span" (Cyclic.product [| 1024; 1024; 2 |]);
+  (* a single generator whose order passes the guard *)
+  too_large "order" (Cyclic.zn (2 * Group.max_enumeration))
+
+(* Cost regression, by call count rather than time: the decomposition
+   enumerates G once, so it stays within a small multiple of |G|
+   multiplications and encodings.  Per-element order computations or a
+   closure per complement candidate cost millions of calls here. *)
+let test_abelian_decompose_cost () =
+  List.iter
+    (fun g ->
+      let n = Group.order g in
+      let counted, c = Blackbox.instrument g in
+      let reprs = ref 0 in
+      let counted = { counted with Group.repr = (fun x -> incr reprs; g.Group.repr x) } in
+      let dec = Abelian.decompose counted in
+      checki "order" n (Abelian.order dec);
+      checkb (Printf.sprintf "%s: %d muls <= 8|G| = %d" g.Group.name c.Blackbox.mul (8 * n)) true
+        (c.Blackbox.mul <= 8 * n);
+      checkb (Printf.sprintf "%s: %d reprs <= 8|G| = %d" g.Group.name !reprs (8 * n)) true
+        (!reprs <= 8 * n))
+    [ Cyclic.product [| 112; 32 |]; Cyclic.boolean_cube 12 ]
+
 (* ------------------------------------------------------------------ *)
 (* Words, presentations, Todd-Coxeter                                 *)
 (* ------------------------------------------------------------------ *)
@@ -708,6 +784,29 @@ let qcheck_props =
         let r = Random.State.make [| n * 13 |] in
         let gens = Group.random_subgroup_gens r g in
         Group.order g mod List.length (Group.closure g gens) = 0);
+    Test.make ~name:"abelian decompose: primary parts in order, bijection, additive" ~count:40
+      (make
+         ~print:(fun d -> String.concat "x" (List.map string_of_int (Array.to_list d)))
+         Gen.(
+           map
+             (fun ds ->
+               (* keep the longest prefix with |G| <= 2^13 *)
+               let _, kept =
+                 List.fold_left
+                   (fun (n, acc) d -> if n * d <= 8192 then (n * d, d :: acc) else (n, acc))
+                   (1, []) ds
+               in
+               Array.of_list (List.rev kept))
+             (list_size (int_range 1 5) (int_range 1 64))))
+      (fun dims ->
+        let g = Cyclic.product dims in
+        let dec = Abelian.decompose g in
+        check_decomposition g g.Group.generators dec;
+        (* grouped by prime (ascending), largest power first *)
+        let key d = (fst (List.hd (Numtheory.Primes.factorize d)), -d) in
+        Array.to_list dec.Abelian.dims
+        = List.sort (fun a b -> compare (key a) (key b))
+            (primary_parts dims));
   ]
 
 let () =
@@ -769,6 +868,9 @@ let () =
           Alcotest.test_case "subgroup" `Quick test_abelian_decompose_subgroup;
           Alcotest.test_case "rejects nonabelian" `Quick
             test_abelian_decompose_nonabelian_rejected;
+          Alcotest.test_case "non-cyclic encodings" `Quick test_abelian_decompose_encodings;
+          Alcotest.test_case "enumeration guard" `Quick test_abelian_decompose_guard;
+          Alcotest.test_case "call-count cost" `Quick test_abelian_decompose_cost;
         ] );
       ( "presentations",
         [

@@ -39,7 +39,10 @@ let test_pow () =
 let test_powmod () =
   check "2^10 mod 1000" 24 (Arith.powmod 2 10 1000);
   check "fermat" 1 (Arith.powmod 3 100 101);
-  check "powmod neg base" (Arith.emod ((-2) * (-2) * (-2)) 7) (Arith.powmod (-2) 3 7)
+  check "powmod neg base" (Arith.emod ((-2) * (-2) * (-2)) 7) (Arith.powmod (-2) 3 7);
+  (* everything is 0 mod 1, the empty product included *)
+  check "b^0 mod 1" 0 (Arith.powmod 5 0 1);
+  check "0^0 mod 1" 0 (Arith.powmod 0 0 1)
 
 let test_emod () =
   check "emod -1 5" 4 (Arith.emod (-1) 5);

@@ -52,7 +52,6 @@ let set_backend = function None -> () | Some c -> Quantum.Backend.set_default c
 type common = {
   backend : Quantum.Backend.choice option;
   jobs : int option;
-  fuse : bool option;
   trace : bool;
   metrics : bool;
 }
@@ -75,19 +74,6 @@ let jobs_arg =
   in
   Arg.(value & opt (some jobs_conv) None & info [ "jobs"; "j" ] ~doc ~docv:"N")
 
-let fuse_arg =
-  let doc =
-    "Circuit execution mode: $(b,1) compiles circuits into fused plans run through the      native kernels (Quantum.Circuit_plan), $(b,0) keeps the gate-by-gate path.  Results      are identical either way; the default is the $(b,HSP_FUSE) environment variable,      then 0."
-  in
-  let fuse_conv =
-    let parse s =
-      try Ok (Quantum.Circuit_plan.parse_fuse s)
-      with Invalid_argument msg -> Error (`Msg msg)
-    in
-    Arg.conv (parse, Format.pp_print_bool)
-  in
-  Arg.(value & opt (some fuse_conv) None & info [ "fuse" ] ~doc ~docv:"0|1")
-
 let trace_arg =
   let doc =
     "Emit structured cost-ledger trace events (phase completions, per-round sampler      events) through the $(b,hsp.trace) log source while the algorithm runs."
@@ -101,13 +87,12 @@ let metrics_arg =
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
 let common_arg =
-  let make backend jobs fuse trace metrics = { backend; jobs; fuse; trace; metrics } in
-  Term.(const make $ backend_arg $ jobs_arg $ fuse_arg $ trace_arg $ metrics_arg)
+  let make backend jobs trace metrics = { backend; jobs; trace; metrics } in
+  Term.(const make $ backend_arg $ jobs_arg $ trace_arg $ metrics_arg)
 
 let setup common =
   set_backend common.backend;
   (match common.jobs with None -> () | Some j -> Quantum.Parallel.set_jobs j);
-  (match common.fuse with None -> () | Some b -> Quantum.Circuit_plan.set_fuse b);
   Quantum.Metrics.reset ();
   if common.trace then begin
     Logs.set_reporter (Logs_fmt.reporter ());
@@ -522,7 +507,7 @@ let check_circuit_cmd =
             | Some t -> Analysis.Circuit_check.qft_approx_gate_count ~threshold:t n
           in
           Printf.printf "closed-form gate budget: %d\n" budget;
-          (* the fused plan the circuit would run under HSP_FUSE=1,
+          (* the plan Circuit.run executes on a dense register,
              cross-checked symbolically against the gate sequence *)
           let c = Quantum.Circuit.qft ?approx_threshold:approx n in
           let plan = Quantum.Circuit.compile c in

@@ -118,6 +118,35 @@ let sample_discrete rng probs =
   else if !last_nonzero >= 0 then !last_nonzero
   else invalid_arg "Backend.sample_discrete: zero distribution"
 
+(* Two-level MD5 so the scratch stays bounded at any register size: one
+   digest per chunk of entries, then one over the header and the chunk
+   digests. *)
+let digest_planes ~tag ~dims ?idx ~re ~im () =
+  let n = Array.length re in
+  let width = match idx with None -> 16 | Some _ -> 24 in
+  let chunk = 1 lsl 14 in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf tag;
+  Buffer.add_int64_le buf (Int64.of_int (Array.length dims));
+  Array.iter (fun d -> Buffer.add_int64_le buf (Int64.of_int d)) dims;
+  Buffer.add_int64_le buf (Int64.of_int n);
+  let scratch = Bytes.create (chunk * width) in
+  let lo = ref 0 in
+  while !lo < n do
+    let len = min chunk (n - !lo) in
+    for k = 0 to len - 1 do
+      let i = !lo + k and off = k * width in
+      Bytes.set_int64_le scratch off (Int64.bits_of_float re.(i));
+      Bytes.set_int64_le scratch (off + 8) (Int64.bits_of_float im.(i));
+      match idx with
+      | Some ix -> Bytes.set_int64_le scratch (off + 16) (Int64.of_int ix.(i))
+      | None -> ()
+    done;
+    Buffer.add_string buf (Digest.subbytes scratch 0 (len * width));
+    lo := !lo + len
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
 module type CORE = sig
   type t
 

@@ -140,6 +140,13 @@ val sample_discrete : Random.State.t -> float array -> int
     outcome).
     @raise Invalid_argument on an empty or all-zero vector. *)
 
+val digest_planes :
+  tag:string -> dims:int array -> ?idx:int array -> re:float array -> im:float array -> unit -> string
+(** Hex MD5 over [tag], [dims] and the IEEE bit patterns of every
+    [re]/[im] entry (plus the parallel basis index when [idx] is
+    given): equal iff the stored planes are bit-for-bit equal, phases
+    included.  Backs [State.digest]. *)
+
 (** {2 Capability signatures} *)
 
 (** What {e every} backend provides: representation-agnostic state

@@ -191,14 +191,10 @@ let apply_wires t ~wires m =
 
 let apply_wire t ~wire m = apply_wires t ~wires:[ wire ] m
 
-(* Fused-plan execution (HSP_FUSE=1): one Bigarray staging pass, every
-   plan step in place, one copy back — per-gate plane allocation gone.
-   The planes of [t] are never written (immutability convention). *)
+(* Compiled-plan execution: one Bigarray staging pass, every plan step
+   in place, one copy back — no per-gate plane allocation.  The planes
+   of [t] are never written (immutability convention). *)
 let run_plan plan t =
-  if
-    Array.length t.dims <> Circuit_plan.(plan.num_qubits)
-    || Array.exists (fun d -> d <> 2) t.dims
-  then invalid_arg "State.run_plan: state is not a matching qubit register";
   let re, im = Circuit_plan.run_planes plan ~re:t.re ~im:t.im in
   { t with re; im }
 
@@ -359,6 +355,8 @@ let measure rng t ~wires =
   (outcome, { t with re = out_re; im = out_im })
 
 let norm t = sqrt (norm2_planes ~re:t.re ~im:t.im (Array.length t.re))
+
+let digest t = Backend.digest_planes ~tag:"dense" ~dims:t.dims ~re:t.re ~im:t.im ()
 
 let approx_equal ?(eps = 1e-9) a b =
   Backend.dims_equal a.dims b.dims

@@ -19,11 +19,14 @@ val of_indices : int array -> int array -> t
 val apply_wire : t -> wire:int -> Linalg.Cmat.t -> t
 
 val run_plan : Circuit_plan.t -> t -> t
-(** Execute a fused circuit plan in place over Bigarray staging planes
-    (one copy in, one out; see {!Circuit_plan.run_planes}).  The input
-    state is untouched.
-    @raise Invalid_argument if the state is not a register of
-    [plan.num_qubits] qubits. *)
+(** Execute a compiled circuit plan in place over Bigarray staging
+    planes (one copy in, one out; see {!Circuit_plan.run_planes}).  The
+    input state is untouched.  The caller checks that the state is a
+    register of [plan.num_qubits] qubits ([Circuit.run] does).
+    @raise Invalid_argument on a plane-length mismatch. *)
+
+val digest : t -> string
+(** {!Backend.digest_planes} of the amplitude planes. *)
 
 val approx_equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

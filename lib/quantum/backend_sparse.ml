@@ -783,6 +783,9 @@ let measure rng t ~wires =
 (* Comparison and printing                                             *)
 (* ------------------------------------------------------------------ *)
 
+let digest t =
+  Backend.digest_planes ~tag:"sparse" ~dims:t.dims ~idx:t.idx ~re:t.re ~im:t.im ()
+
 let approx_equal ?(eps = 1e-9) a b =
   Backend.dims_equal a.dims b.dims
   && begin

@@ -89,6 +89,10 @@ val prune_eps : unit -> float
 val prune_eps_of : t -> float
 (** The epsilon this particular state carries. *)
 
+val digest : t -> string
+(** {!Backend.digest_planes} of the sorted segment: indices and
+    amplitude planes. *)
+
 val approx_equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit
 (** Prints the nonzero entries in index order (intended for small

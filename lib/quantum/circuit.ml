@@ -41,14 +41,7 @@ let fingerprint t = Circuit_plan.fingerprint ~num_qubits:t.num_qubits (gates t)
 let run t state =
   if State.num_wires state <> t.num_qubits || Array.exists (fun d -> d <> 2) (State.dims state)
   then invalid_arg "Circuit.run: state is not a matching qubit register";
-  (* HSP_FUSE=1 routes dense states through the compiled plan; sparse
-     and symbolic states (and HSP_FUSE=0) keep the gate-by-gate path. *)
-  let fused =
-    if Circuit_plan.fuse () && State.backend state = Backend.Dense then
-      State.run_plan (compile t) state
-    else None
-  in
-  match fused with
+  match State.run_plan (compile t) state with
   | Some st -> st
   | None ->
       List.fold_left

@@ -9,8 +9,8 @@
 
     Ops are stored latest-first internally so building a circuit is
     linear in its length; {!ops} returns them in application order.
-    Under [HSP_FUSE=1], {!run} compiles the circuit into a fused
-    execution plan ({!Circuit_plan}) before touching a dense state. *)
+    {!run} executes a dense state through the circuit's compiled plan
+    ({!Circuit_plan}) and any other state gate by gate. *)
 
 type op =
   | Gate of Linalg.Cmat.t * int list
@@ -40,14 +40,15 @@ val seq : t -> t -> t
 (** [seq a b] runs [a] then [b]; both must have the same arity. *)
 
 val run : t -> State.t -> State.t
-(** Under [HSP_FUSE=1] a dense state runs through the compiled fused
-    plan; otherwise (and for sparse/symbolic states) gate by gate.
+(** A dense state runs through the compiled plan ({!compile},
+    {!State.run_plan}); sparse and symbolic states run gate by gate
+    through {!State.apply_wires}.  The plan is compiled on every call,
+    whatever the backend.
     @raise Invalid_argument if the state is not a register of
     [num_qubits] qubits. *)
 
 val compile : t -> Circuit_plan.t
-(** The fused execution plan {!run} would use (regardless of the
-    [HSP_FUSE] setting). *)
+(** The execution plan {!run} uses for a dense state. *)
 
 val fingerprint : t -> string
 (** Hex digest of the exact circuit structure (wires and IEEE bit

@@ -13,23 +13,6 @@ let classify_eps = 1e-12
 let perm_max_wires = 8
 
 (* ------------------------------------------------------------------ *)
-(* Fuse-mode knob (same shape as Parallel's HSP_JOBS handling)        *)
-(* ------------------------------------------------------------------ *)
-
-let parse_fuse s =
-  match String.trim s with
-  | "0" -> false
-  | "1" -> true
-  | _ -> invalid_arg (Printf.sprintf "HSP_FUSE: expected 0 or 1, got %S" s)
-
-let env_default =
-  lazy (match Sys.getenv_opt "HSP_FUSE" with None -> false | Some s -> parse_fuse s)
-
-let current = Atomic.make None
-let fuse () = match Atomic.get current with Some b -> b | None -> Lazy.force env_default
-let set_fuse b = Atomic.set current (Some b)
-
-(* ------------------------------------------------------------------ *)
 (* Gate classification                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -200,9 +183,10 @@ let sorted_bits n wires =
 
 module BA1 = Bigarray.Array1
 
-(* Generic in-place k-wire dense apply over the Bigarray planes: the
-   unfused gather/transform/scatter, minus the per-gate output planes
-   (the fibre is staged in chunk-local scratch, so in-place is safe). *)
+(* Generic in-place k-wire dense apply over the Bigarray planes:
+   Backend_dense.apply_wires's gather/transform/scatter, minus the
+   per-gate output planes (the fibre is staged in chunk-local scratch,
+   so in-place is safe). *)
 let exec_dense_generic n bre bim wires mat =
   let total = 1 lsl n in
   let k = List.length wires in

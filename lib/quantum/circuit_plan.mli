@@ -1,10 +1,11 @@
-(** Circuit compiler: fused execution plans for the dense backend.
+(** Circuit compiler: the execution plans [Circuit.run] uses for every
+    dense register.
 
-    [Circuit.run] pays one full gather/transform/scatter pass over the
-    amplitude planes {e per gate}, so QFT-shaped circuits (hundreds of
-    1- and 2-qubit gates) are bound by memory traffic, not arithmetic.
-    The compiler rewrites a gate list into a short list of {e steps},
-    each one full pass:
+    Applied gate by gate, a circuit pays one full
+    gather/transform/scatter pass over the amplitude planes {e per
+    gate}, so QFT-shaped circuits (hundreds of 1- and 2-qubit gates)
+    are bound by memory traffic, not arithmetic.  The compiler rewrites
+    a gate list into a short list of {e steps}, each one full pass:
 
     - {b Fused} — a maximal run of consecutive gates on the same wire
       list, multiplied into a single matrix at compile time;
@@ -21,14 +22,13 @@
     branch-free C kernels in {!Fused_kernels} (1- and 2-wire dense
     apply, merged diagonal sweep); arity ≥ 3 matrices and permutations
     run through a generic in-place OCaml kernel.  All passes are
-    chunked over the {!Parallel} pool by fibre, so within a fuse mode
-    results are bit-for-bit identical at every job count and under both
+    chunked over the {!Parallel} pool by fibre, so results are
+    bit-for-bit identical at every job count and under both
     [HSP_SCHED] orders (the plane-level contract [Backend_dense]
-    already obeys).  Plans are verified symbolically — no simulation —
-    by [Analysis.Circuit_check.check_plan].
-
-    The fused path is selected by [HSP_FUSE=1] (or {!set_fuse}); the
-    default [HSP_FUSE=0] keeps the pure-OCaml gate-by-gate path. *)
+    already obeys).  Against the gate-by-gate fold over
+    [State.apply_wires], amplitudes agree to 1e-9 (products of fused
+    matrices round differently).  Plans are verified symbolically — no
+    simulation — by [Analysis.Circuit_check.check_plan]. *)
 
 type gate = Linalg.Cmat.t * int list
 (** A unitary and its wires, most significant first (as {!Circuit.op}). *)
@@ -56,19 +56,6 @@ val perm_max_wires : int
 (** A Perm step stops absorbing gates once the union would exceed this
     many wires (table size [2^k]). *)
 
-(** {2 Fuse-mode knob} *)
-
-val fuse : unit -> bool
-(** The session-wide fuse switch: {!set_fuse} if called, else
-    [HSP_FUSE] ([0] | [1]), else [false].
-    @raise Invalid_argument on a malformed [HSP_FUSE]. *)
-
-val set_fuse : bool -> unit
-
-val parse_fuse : string -> bool
-(** Validate an [HSP_FUSE]-style value.
-    @raise Invalid_argument unless the trimmed string is [0] or [1]. *)
-
 (** {2 Compilation and execution} *)
 
 val compile : num_qubits:int -> gate list -> t
@@ -80,8 +67,7 @@ val run_planes : t -> re:float array -> im:float array -> float array * float ar
 (** Execute the plan on an amplitude-plane pair of length
     [2^num_qubits], returning fresh output planes (inputs untouched).
     Stages the planes in Bigarrays once, runs every step in place, and
-    copies back — the per-gate plane allocations of the unfused path
-    are gone.
+    copies back — no per-gate plane allocation.
     @raise Invalid_argument on a plane-length mismatch. *)
 
 (** {2 Introspection} *)

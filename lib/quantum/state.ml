@@ -245,10 +245,10 @@ let apply_wires t ~wires m =
 
 let apply_wire t ~wire m = apply_wires t ~wires:[ wire ] m
 
-(* A fused plan run is [gate_count] gate applications as far as the
-   per-call ledger is concerned, so dense runs of a circuit report the
-   same [gate_apps] fused or not; the fused-pass counters live in
-   Circuit_plan where the work actually differs. *)
+(* A plan run is [gate_count] gate applications as far as the per-call
+   ledger is concerned, so a circuit reports the same [gate_apps] on
+   every backend; the fused-pass counters live in Circuit_plan where
+   the work actually differs. *)
 let run_plan plan t =
   match t with
   | Dense d ->
@@ -314,6 +314,11 @@ let norm = function
   | Dense d -> Backend_dense.norm d
   | Sparse s -> Backend_sparse.norm s
   | Symbolic s -> Backend_symbolic.norm s
+
+let digest = function
+  | Dense d -> Backend_dense.digest d
+  | Sparse s -> Backend_sparse.digest s
+  | Symbolic _ -> invalid_arg "State.digest: symbolic states have no amplitude planes"
 
 let approx_equal ?(eps = 1e-9) a b =
   Backend.dims_equal (dims a) (dims b)

@@ -157,13 +157,14 @@ val apply_wires : t -> wires:int list -> Linalg.Cmat.t -> t
     product of the wires' dimensions.  Symbolic states demote. *)
 
 val run_plan : Circuit_plan.t -> t -> t option
-(** Execute a fused circuit plan ({!Circuit_plan.compile}) on a dense
-    qubit register in one pass per plan step; ticks [gate_apps] once
-    per source gate so the per-call ledger matches the gate-by-gate
-    path.  [None] for sparse/symbolic states — the caller falls back
-    to {!apply_wires} per gate ([Circuit.run] does this).
-    @raise Invalid_argument if the dense state is not a register of
-    [plan.num_qubits] qubits. *)
+(** Execute a compiled circuit plan ({!Circuit_plan.compile}) on a
+    dense qubit register in one pass per plan step; ticks [gate_apps]
+    once per source gate, as the per-gate {!apply_wires} fold would.
+    [None] for sparse/symbolic states, which run circuits gate by gate
+    ([Circuit.run] does both).  The caller checks that the state is a
+    register of [plan.num_qubits] qubits.
+    @raise Invalid_argument if a dense state's size is not
+    [2^plan.num_qubits]. *)
 
 val apply_dft : t -> wire:int -> inverse:bool -> t
 (** The DFT {!Linalg.Cmat.dft} on one wire, in O(d log d) per populated
@@ -200,6 +201,15 @@ val measure : Random.State.t -> t -> wires:int list -> int array * t
 val measure_all : Random.State.t -> t -> int array
 
 val norm : t -> float
+
+val digest : t -> string
+(** Hex digest of the exact stored state: the backend tag, [dims], and
+    the IEEE bit patterns of the dense amplitude planes or of the
+    sparse segment (basis indices and planes).  Two states share a
+    digest iff their stored representations are bit-for-bit equal, so
+    unlike a digest of measured outcomes it sees phases.  Determinism
+    checks compare it across job counts and schedulers.
+    @raise Invalid_argument on a symbolic state (not yet covered). *)
 
 val approx_equal : ?eps:float -> t -> t -> bool
 (** Amplitude-wise comparison; works across backends (used by the

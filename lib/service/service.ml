@@ -295,7 +295,7 @@ let exec_solve t (inst : Protocol.instance) rt ~seed ~id =
     ]
 
 (* Registers whose QFT plan the check op compiles and caches: qubit
-   registers small enough that the dense fused path could run them.
+   registers small enough for a dense Circuit.run to execute them.
    Compilation is structural (gate count x small matrices), so the cap
    is about artifact relevance, not cost. *)
 let plan_wire_cap = 24

@@ -1,6 +1,7 @@
 (* Tests for the circuit compiler: fused plans, native kernels,
-   determinism across fuse modes / job counts / schedulers, and the
-   symbolic plan verifier in Analysis.Circuit_check. *)
+   determinism of the plan path against the gate-by-gate reference
+   across job counts / schedulers, and the symbolic plan verifier in
+   Analysis.Circuit_check. *)
 
 open Linalg
 open Quantum
@@ -9,10 +10,12 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 
-let with_fuse b f =
-  let prev = Circuit_plan.fuse () in
-  Circuit_plan.set_fuse b;
-  Fun.protect ~finally:(fun () -> Circuit_plan.set_fuse prev) f
+(* The reference [Circuit.run] is checked against: one
+   [State.apply_wires] per gate, no plan. *)
+let gate_by_gate c st =
+  List.fold_left
+    (fun st (Circuit.Gate (m, wires)) -> State.apply_wires st ~wires m)
+    st (Circuit.ops c)
 
 let with_jobs j f =
   Parallel.set_jobs j;
@@ -85,7 +88,7 @@ let random_state rng n =
     Array.init total (fun _ ->
         Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0))
   in
-  State.of_amplitudes dims v
+  State.of_amplitudes ~backend:Backend.Dense dims v
 
 (* ------------------------------------------------------------------ *)
 (* qcheck properties: plan == circuit on random circuits              *)
@@ -100,9 +103,11 @@ let qcheck_props =
         let n = 3 + Random.State.int rng 3 in
         let c = random_circuit rng n (10 + Random.State.int rng 30) in
         let st = random_state rng n in
-        let unfused = with_fuse false (fun () -> Circuit.run c st) in
-        let fused = with_fuse true (fun () -> Circuit.run c st) in
-        State.approx_equal ~eps:1e-9 unfused fused);
+        let fused = Circuit.run c st in
+        (* a sparse register runs the same circuit gate by gate *)
+        let sparse = Circuit.run c (State.to_backend Backend.Sparse st) in
+        State.approx_equal ~eps:1e-9 (gate_by_gate c st) fused
+        && State.approx_equal ~eps:1e-9 sparse fused);
     Test.make ~count:50 ~name:"check_plan accepts every compiled random circuit"
       (int_bound 100000) (fun seed ->
         let rng = Random.State.make [| seed; 0x9_1a_a5 |] in
@@ -120,54 +125,96 @@ let qcheck_props =
           else Circuit.qft ~approx_threshold:(2 + Random.State.int rng n) n
         in
         let st = random_state rng n in
-        let unfused = with_fuse false (fun () -> Circuit.run c st) in
-        let fused = with_fuse true (fun () -> Circuit.run c st) in
-        State.approx_equal ~eps:1e-9 unfused fused
+        State.approx_equal ~eps:1e-9 (gate_by_gate c st) (Circuit.run c st)
         && Analysis.Circuit_check.check_plan c (Circuit.compile c) = Ok ());
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: measurement digests across fuse modes, job counts and
-   schedulers (the E15 bench contract, in miniature)                  *)
+(* Determinism: measurement digests across the plan and gate-by-gate
+   paths, job counts and schedulers, plus bitwise state digests within
+   each path (the E15 bench contract, in miniature)                   *)
 (* ------------------------------------------------------------------ *)
 
-let digest_run ~fuse ~jobs ~sched =
-  with_fuse fuse (fun () ->
-      with_jobs jobs (fun () ->
-          with_sched sched (fun () ->
-              let n = 10 in
-              let c = Circuit.qft n in
-              let x = Array.init n (fun i -> i land 1) in
-              let st = ref (Circuit.run c (State.of_basis (Array.make n 2) x)) in
-              let rng = Random.State.make [| 0x515e; 0xd16 |] in
-              let buf = Buffer.create 64 in
-              List.iter
-                (fun wires ->
-                  let outcome, st' = State.measure rng !st ~wires in
-                  st := st';
-                  Array.iter
-                    (fun v ->
-                      Buffer.add_string buf (string_of_int v);
-                      Buffer.add_char buf ',')
-                    outcome)
-                [ [ 0; 3; 7 ]; [ 1; 2 ]; [ 4; 5; 6; 8; 9 ] ];
-              Digest.to_hex (Digest.string (Buffer.contents buf)))))
+let seeded_outcomes seed st wires_list =
+  let rng = Random.State.make seed in
+  let buf = Buffer.create 64 in
+  ignore
+    (List.fold_left
+       (fun st wires ->
+         let outcome, st' = State.measure rng st ~wires in
+         Array.iter
+           (fun v ->
+             Buffer.add_string buf (string_of_int v);
+             Buffer.add_char buf ',')
+           outcome;
+         st')
+       st wires_list);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* (outcome digest, State.digest of the circuit's output) *)
+let digest_run ~exec ~jobs ~sched =
+  with_jobs jobs (fun () ->
+      with_sched sched (fun () ->
+          let n = 10 in
+          let x = Array.init n (fun i -> i land 1) in
+          let st = exec (Circuit.qft n) (State.of_basis (Array.make n 2) x) in
+          ( seeded_outcomes [| 0x515e; 0xd16 |] st [ [ 0; 3; 7 ]; [ 1; 2 ]; [ 4; 5; 6; 8; 9 ] ],
+            State.digest st )))
 
 let test_digests_identical_across_modes () =
-  let base = digest_run ~fuse:false ~jobs:1 ~sched:Parallel.Fifo in
+  let base, _ = digest_run ~exec:gate_by_gate ~jobs:1 ~sched:Parallel.Fifo in
   List.iter
-    (fun fuse ->
+    (fun (path, exec) ->
+      let _, path_state = digest_run ~exec ~jobs:1 ~sched:Parallel.Fifo in
       List.iter
         (fun jobs ->
           List.iter
             (fun sched ->
-              checks
-                (Printf.sprintf "digest fuse=%b jobs=%d" fuse jobs)
-                base
-                (digest_run ~fuse ~jobs ~sched))
+              let outcomes, state = digest_run ~exec ~jobs ~sched in
+              checks (Printf.sprintf "outcomes %s jobs=%d" path jobs) base outcomes;
+              checks (Printf.sprintf "state %s jobs=%d" path jobs) path_state state)
             [ Parallel.Fifo; Parallel.Shuffle ])
         [ 1; 2; 4 ])
-    [ false; true ]
+    [ ("gates", gate_by_gate); ("plan", Circuit.run) ]
+
+(* Negative control for the outcome digest: a Z on one wire of a
+   uniform register changes only phases, so no measurement can see it
+   and the seeded outcome digest stays put, but State.digest must. *)
+let test_state_digest_sees_phases () =
+  let n = 4 in
+  let dims = Array.make n 2 in
+  let wires = List.init n (fun i -> i) in
+  let rec subsets = function
+    | [] -> [ [] ]
+    | w :: rest -> List.concat_map (fun s -> [ s; w :: s ]) (subsets rest)
+  in
+  List.iter
+    (fun backend ->
+      let st = State.uniform ~backend dims in
+      let flipped = State.apply_wire st ~wire:2 Gates.z in
+      List.iter
+        (fun ws ->
+          if ws <> [] then
+            checkb "same distribution" true
+              (Array.for_all2
+                 (fun p q -> Float.abs (p -. q) <= 1e-12)
+                 (State.probabilities st ~wires:ws)
+                 (State.probabilities flipped ~wires:ws)))
+        (subsets wires);
+      let measures = [ [ 0; 2 ]; [ 1 ]; [ 3 ] ] in
+      checks "same seeded outcomes"
+        (seeded_outcomes [| 0x2 |] st measures)
+        (seeded_outcomes [| 0x2 |] flipped measures);
+      checks "digest is a function of the state" (State.digest st)
+        (State.digest (State.uniform ~backend dims));
+      checkb "state digest sees the phase" true (State.digest st <> State.digest flipped))
+    [ Backend.Dense; Backend.Sparse ];
+  checkb "backend tag hashed" true
+    (State.digest (State.uniform ~backend:Backend.Dense dims)
+    <> State.digest (State.uniform ~backend:Backend.Sparse dims));
+  Alcotest.check_raises "symbolic refused"
+    (Invalid_argument "State.digest: symbolic states have no amplitude planes") (fun () ->
+      ignore (State.digest (State.uniform ~backend:Backend.Symbolic dims)))
 
 (* ------------------------------------------------------------------ *)
 (* Compiler structure: the QFT collapses as documented               *)
@@ -209,13 +256,6 @@ let test_same_wire_chain_fuses () =
       in
       checkb "chain product" true (Cmat.approx_equal ~eps:1e-12 mat expected)
   | _ -> Alcotest.fail "same-wire chain did not fuse to one step"
-
-let test_fuse_knob () =
-  checkb "parse 0" false (Circuit_plan.parse_fuse "0");
-  checkb "parse 1" true (Circuit_plan.parse_fuse " 1 ");
-  Alcotest.check_raises "parse junk"
-    (Invalid_argument "HSP_FUSE: expected 0 or 1, got \"yes\"") (fun () ->
-      ignore (Circuit_plan.parse_fuse "yes"))
 
 (* ------------------------------------------------------------------ *)
 (* O(n) circuit construction (the seed's O(n^2) gate/seq fix)        *)
@@ -416,19 +456,21 @@ let test_run_plan_dispatch () =
        false
      with Invalid_argument _ -> true)
 
+(* A dense Circuit.run takes the plan path with no setup at all. *)
 let test_plan_ledger () =
   Metrics.reset ();
   let c = Circuit.qft 6 in
   let st = State.create ~backend:Backend.Dense (Array.make 6 2) in
-  let unfused = with_fuse false (fun () -> Circuit.run c st) in
-  let gate_by_gate = (Metrics.snapshot ()).Metrics.gate_apps in
+  let reference = gate_by_gate c st in
+  let reference_gate_apps = (Metrics.snapshot ()).Metrics.gate_apps in
   Metrics.reset ();
-  let fused = with_fuse true (fun () -> Circuit.run c st) in
+  let planned = Circuit.run c st in
   let snap = Metrics.snapshot () in
-  checkb "states agree" true (State.approx_equal ~eps:1e-9 unfused fused);
-  checki "gate_apps identical across modes" gate_by_gate snap.Metrics.gate_apps;
+  checkb "states agree" true (State.approx_equal ~eps:1e-9 reference planned);
+  checki "gate_apps identical across paths" reference_gate_apps snap.Metrics.gate_apps;
   checki "one plan compiled" 1 snap.Metrics.plans_compiled;
-  checkb "fused passes recorded" true (snap.Metrics.fused_passes > 0);
+  checki "one pass per plan step" (Circuit_plan.step_count (Circuit.compile c))
+    snap.Metrics.fused_passes;
   checki "fused gates = source gates" (Circuit.gate_count c) snap.Metrics.fused_gates
 
 let () =
@@ -438,7 +480,6 @@ let () =
         [
           Alcotest.test_case "qft-8 plan shape" `Quick test_qft8_plan_shape;
           Alcotest.test_case "same-wire chain fuses" `Quick test_same_wire_chain_fuses;
-          Alcotest.test_case "fuse knob parsing" `Quick test_fuse_knob;
           Alcotest.test_case "construction order" `Quick test_construction_order;
           Alcotest.test_case "fingerprint structure" `Quick test_fingerprint_keys_structure;
         ] );
@@ -447,6 +488,7 @@ let () =
           Alcotest.test_case "digests across fuse/jobs/sched" `Quick
             test_digests_identical_across_modes;
           Alcotest.test_case "ledger across modes" `Quick test_plan_ledger;
+          Alcotest.test_case "state digest sees phases" `Quick test_state_digest_sees_phases;
         ] );
       ( "verifier",
         [
